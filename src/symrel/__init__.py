@@ -10,211 +10,35 @@ The pipeline has four stages, each usable as a library or through the
 4. evaluation against a graded collection, including agreement statistics
    over the annotations that built it
    (:mod:`symrel.collection`, :mod:`symrel.evalmetrics`).
+
+Only the pipeline entry points are re-exported here; every other name is
+imported from its submodule.
 """
 
-from .collection import (
-    AgreementReport,
-    AnnotationRecord,
-    CountExpectations,
-    DiseaseEntry,
-    GradedCollection,
-    ValidationReport,
-    GRADE_PRIMARY,
-    GRADE_RELEVANT,
-    fleiss_kappa,
-    fleiss_kappa_statistic,
-    load_collection,
-    load_expectations,
-    majority_vote,
-    read_annotations,
-    read_pair_list,
-    save_collection,
-    validate_collection,
-)
-from .corpus import Article, CorpusReader, CorpusStats, stream_corpus
-from .embedding import (
-    EmbeddingTable,
-    cosine_relation,
-    load_vectors,
-    rank_by_embedding,
-)
-from .errors import (
-    ConfigError,
-    DimensionMismatch,
-    DuplicateAnnotation,
-    DuplicateArticleId,
-    DuplicateDisease,
-    DuplicateId,
-    DuplicateSymptomInEntry,
-    DuplicateSynonym,
-    EmptySynonym,
-    EvenPanel,
-    InvalidGrade,
-    LengthMismatch,
-    MalformedCollection,
-    MalformedRecord,
-    MalformedRow,
-    MissingAnnotator,
-    MissingVector,
-    NoJudgments,
-    PairListMismatch,
-    SymrelError,
-    TooFewPairs,
-    UndefinedISF,
-    UnequalPanelSizes,
-    UnknownConcept,
-    UnknownKind,
-    VocabularyMismatch,
-    ZeroNormVector,
-)
-from .evalmetrics import (
-    ComparisonReport,
-    MetricReport,
-    PairwiseTest,
-    RankedRun,
-    TTestResult,
-    compare_runs,
-    evaluate_run,
-    load_run,
-    metric_keys,
-    ndcg_at_k,
-    paired_ttest,
-    precision_at_k,
-    recall_at_k,
-    report_json,
-    write_run,
-)
-from .miner import (
-    CooccurrenceIndex,
-    ImportedScores,
-    Regime,
-    RelationScore,
-    count_fulltext_cooccurrence,
-    count_keyword_cooccurrence,
-    import_external_scores,
-    index_scores,
-    inverse_symptom_frequency,
-    load_index,
-    merge_indexes,
-    mine_corpus,
-    rank_symptoms,
-    relation_score,
-    save_index,
-    save_scores,
-)
-from .tagger import ConceptMatcher, SectionTags, read_tags, write_tags
-from .vocab import (
-    Concept,
-    ConceptKind,
-    Vocabulary,
-    load_vocabulary,
-    normalize_term,
-    save_vocabulary,
-)
+from .collection import load_collection
+from .corpus import CorpusReader
+from .embedding import load_vectors, rank_by_embedding
+from .errors import SymrelError
+from .evalmetrics import compare_runs, evaluate_run
+from .miner import Regime, index_scores, mine_corpus, rank_symptoms
+from .tagger import ConceptMatcher
+from .vocab import load_vocabulary
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # vocab
-    "Concept",
-    "ConceptKind",
-    "Vocabulary",
     "load_vocabulary",
-    "normalize_term",
-    "save_vocabulary",
-    # corpus
-    "Article",
     "CorpusReader",
-    "CorpusStats",
-    "stream_corpus",
-    # tagger
     "ConceptMatcher",
-    "SectionTags",
-    "read_tags",
-    "write_tags",
-    # miner
-    "CooccurrenceIndex",
-    "ImportedScores",
     "Regime",
-    "RelationScore",
-    "count_fulltext_cooccurrence",
-    "count_keyword_cooccurrence",
-    "import_external_scores",
-    "index_scores",
-    "inverse_symptom_frequency",
-    "load_index",
-    "merge_indexes",
     "mine_corpus",
+    "index_scores",
     "rank_symptoms",
-    "relation_score",
-    "save_index",
-    "save_scores",
-    # embedding
-    "EmbeddingTable",
-    "cosine_relation",
     "load_vectors",
     "rank_by_embedding",
-    # collection
-    "AgreementReport",
-    "AnnotationRecord",
-    "CountExpectations",
-    "DiseaseEntry",
-    "GradedCollection",
-    "ValidationReport",
-    "GRADE_PRIMARY",
-    "GRADE_RELEVANT",
-    "fleiss_kappa",
-    "fleiss_kappa_statistic",
     "load_collection",
-    "load_expectations",
-    "majority_vote",
-    "read_annotations",
-    "read_pair_list",
-    "save_collection",
-    "validate_collection",
-    # evalmetrics
-    "ComparisonReport",
-    "MetricReport",
-    "PairwiseTest",
-    "RankedRun",
-    "TTestResult",
-    "compare_runs",
     "evaluate_run",
-    "load_run",
-    "metric_keys",
-    "ndcg_at_k",
-    "paired_ttest",
-    "precision_at_k",
-    "recall_at_k",
-    "report_json",
-    "write_run",
-    # errors
-    "ConfigError",
-    "DimensionMismatch",
-    "DuplicateAnnotation",
-    "DuplicateArticleId",
-    "DuplicateDisease",
-    "DuplicateId",
-    "DuplicateSymptomInEntry",
-    "DuplicateSynonym",
-    "EmptySynonym",
-    "EvenPanel",
-    "InvalidGrade",
-    "LengthMismatch",
-    "MalformedCollection",
-    "MalformedRecord",
-    "MalformedRow",
-    "MissingAnnotator",
-    "MissingVector",
-    "NoJudgments",
-    "PairListMismatch",
+    "compare_runs",
     "SymrelError",
-    "TooFewPairs",
-    "UndefinedISF",
-    "UnequalPanelSizes",
-    "UnknownConcept",
-    "UnknownKind",
-    "VocabularyMismatch",
-    "ZeroNormVector",
 ]

@@ -57,7 +57,7 @@ from .vocab import load_vocabulary
 
 logger = logging.getLogger(__name__)
 
-REGIME_CHOICES = {"kwd": Regime.KEYWORD, "fulltext": Regime.FULLTEXT}
+REGIME_CHOICES = {regime.method: regime for regime in Regime}
 
 
 @dataclass
@@ -211,9 +211,12 @@ def _cmd_mine(config: PipelineConfig, args: argparse.Namespace) -> int:
     scores_path = out_dir / f"scores_{config.regime}.tsv"
     save_index(index, index_path)
     save_scores(index_scores(index), scores_path)
+    stats = reader.stats
     logger.info(
-        "mined %d pair(s) over %d symptom(s) -> %s, %s",
-        len(index.pair_counts), len(index.symptom_spread), index_path, scores_path,
+        "mined %d pair(s) over %d symptom(s) from %d article(s) "
+        "(%d with keywords, %d skipped) -> %s, %s",
+        len(index.pair_counts), len(index.symptom_spread), stats.article_count,
+        stats.with_keywords_count, stats.skipped_count, index_path, scores_path,
     )
     return 0
 
@@ -349,9 +352,12 @@ def _cmd_vote(config: PipelineConfig, args: argparse.Namespace) -> int:
     for record in records:
         records_by_disease.setdefault(record.disease_id, []).append(record)
     annotated = {(r.disease_id, r.symptom_id) for r in records}
+    pairs_by_disease: dict[str, list] = {}
+    for pair in pairs:
+        pairs_by_disease.setdefault(pair[0], []).append(pair)
     entries = []
-    for disease_id in sorted({d for d, _ in pairs}):
-        for pair in sorted(p for p in pairs if p[0] == disease_id):
+    for disease_id in sorted(pairs_by_disease):
+        for pair in sorted(pairs_by_disease[disease_id]):
             if pair not in annotated:
                 raise MissingAnnotator(f"pair {pair!r} has no annotation records")
         judgments = majority_vote(records_by_disease[disease_id])

@@ -2,8 +2,12 @@
 
 One article per line: ``{"id": ..., "title": ..., "keywords": [...],
 "text": ...}``. Corpora can be orders of magnitude larger than memory, so
-reading is strictly single-pass; only article ids are retained (for
-duplicate detection), never bodies.
+reading is strictly single-pass and bodies are never retained. Duplicate
+detection is exact, so a reader keeps every article id it has seen in
+memory: memory grows with the number of articles, not with their size.
+Mining consumes the stream in chunks; pair counts over disjoint chunks
+sum, and the symptom spread is derived once from the total (see
+:mod:`symrel.miner`).
 """
 
 import json
@@ -39,7 +43,8 @@ class CorpusReader:
 
     Malformed records abort by default; with ``skip_bad_records`` they are
     counted, logged, and skipped. ``stats`` holds exact counts for the most
-    recently completed pass.
+    recently completed pass. Each pass holds the set of article ids seen so
+    far, to reject duplicates.
     """
 
     def __init__(self, path, skip_bad_records: bool = False):

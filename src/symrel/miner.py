@@ -14,10 +14,12 @@ Counting regimes:
 * fulltext: the disease appears in the keywords or the title, and the
   symptom appears in the body text.
 
-Counting is a commutative-monoid fold: partial indexes over disjoint
-article subsets merge by summing pair counts and recomputing the symptom
-spreads, so chunked-parallel mining produces the same index as a
-sequential pass.
+Counting is a commutative-monoid fold: pair counts over disjoint article
+subsets sum, and the symptom spread is derived once, from the summed
+counts, when the index is built. Chunked-parallel mining therefore
+produces the same index as a sequential pass. Each worker process builds
+its concept matcher once and is sent only the regime and a chunk of
+articles.
 """
 
 import logging
@@ -87,28 +89,31 @@ def _check_known(tags: SectionTags, vocabulary: Vocabulary) -> None:
                 )
 
 
+def _check_vocabulary(vocabulary: Vocabulary) -> None:
+    if not vocabulary.disease_ids or not vocabulary.symptom_ids:
+        raise VocabularyMismatch(
+            "vocabulary must contain at least one disease and one symptom"
+        )
+
+
 def _index_from_counts(
-    regime: Regime, pair_counts: dict[tuple[str, str], int], vocabulary: Vocabulary
+    regime: Regime,
+    pair_counts: dict[tuple[str, str], int],
+    total_diseases: int,
+    disease_ids: frozenset[str],
+    symptom_ids: frozenset[str],
 ) -> CooccurrenceIndex:
+    """The one place pair counts become an index and the spread is derived."""
     # keys are unique pairs, so counting pairs per symptom counts distinct diseases
     spread = Counter(symptom_id for (_, symptom_id) in pair_counts)
     return CooccurrenceIndex(
-        regime=regime,
-        pair_counts=pair_counts,
-        symptom_spread=dict(spread),
-        total_diseases=vocabulary.disease_count,
-        disease_ids=vocabulary.disease_ids,
-        symptom_ids=vocabulary.symptom_ids,
+        regime, dict(pair_counts), dict(spread), total_diseases, disease_ids, symptom_ids
     )
 
 
 def _count_tags(
     tags: Iterable[SectionTags], vocabulary: Vocabulary, regime: Regime
-) -> CooccurrenceIndex:
-    if not vocabulary.disease_ids or not vocabulary.symptom_ids:
-        raise VocabularyMismatch(
-            "vocabulary must contain at least one disease and one symptom"
-        )
+) -> Counter:
     diseases = vocabulary.disease_ids
     symptoms = vocabulary.symptom_ids
     pair_counts: Counter = Counter()
@@ -123,14 +128,18 @@ def _count_tags(
         for disease_id in article_diseases:
             for symptom_id in article_symptoms:
                 pair_counts[(disease_id, symptom_id)] += 1
-    return _index_from_counts(regime, dict(pair_counts), vocabulary)
+    return pair_counts
 
 
 def count_keyword_cooccurrence(
     tags: Iterable[SectionTags], vocabulary: Vocabulary
 ) -> CooccurrenceIndex:
     """Count pairs where disease and symptom share the keyword section."""
-    return _count_tags(tags, vocabulary, Regime.KEYWORD)
+    _check_vocabulary(vocabulary)
+    return _index_from_counts(
+        Regime.KEYWORD, _count_tags(tags, vocabulary, Regime.KEYWORD),
+        vocabulary.disease_count, vocabulary.disease_ids, vocabulary.symptom_ids,
+    )
 
 
 def count_fulltext_cooccurrence(
@@ -138,7 +147,11 @@ def count_fulltext_cooccurrence(
 ) -> CooccurrenceIndex:
     """Count pairs where the disease marks the article (keywords or title)
     and the symptom occurs in the body."""
-    return _count_tags(tags, vocabulary, Regime.FULLTEXT)
+    _check_vocabulary(vocabulary)
+    return _index_from_counts(
+        Regime.FULLTEXT, _count_tags(tags, vocabulary, Regime.FULLTEXT),
+        vocabulary.disease_count, vocabulary.disease_ids, vocabulary.symptom_ids,
+    )
 
 
 def merge_indexes(indexes: Sequence[CooccurrenceIndex]) -> CooccurrenceIndex:
@@ -156,14 +169,8 @@ def merge_indexes(indexes: Sequence[CooccurrenceIndex]) -> CooccurrenceIndex:
         ):
             raise VocabularyMismatch("partial indexes disagree on regime or vocabulary")
         pair_counts.update(index.pair_counts)
-    spread = Counter(symptom_id for (_, symptom_id) in pair_counts)
-    return CooccurrenceIndex(
-        regime=first.regime,
-        pair_counts=dict(pair_counts),
-        symptom_spread=dict(spread),
-        total_diseases=first.total_diseases,
-        disease_ids=first.disease_ids,
-        symptom_ids=first.symptom_ids,
+    return _index_from_counts(
+        first.regime, pair_counts, first.total_diseases, first.disease_ids, first.symptom_ids
     )
 
 
@@ -178,6 +185,11 @@ def inverse_symptom_frequency(index: CooccurrenceIndex, symptom_id: str) -> floa
     return index.total_diseases / spread
 
 
+def _score(index: CooccurrenceIndex, symptom_id: str, count: int) -> float:
+    # the one scoring expression; its operation order fixes the output floats
+    return count * (index.total_diseases / index.symptom_spread[symptom_id])
+
+
 def relation_score(index: CooccurrenceIndex, disease_id: str, symptom_id: str) -> float:
     """Pair count times inverse symptom frequency, or 0.0 for pairs that
     never co-occur."""
@@ -188,19 +200,14 @@ def relation_score(index: CooccurrenceIndex, disease_id: str, symptom_id: str) -
     count = index.pair_counts.get((disease_id, symptom_id), 0)
     if count == 0:
         return 0.0
-    return count * (index.total_diseases / index.symptom_spread[symptom_id])
+    return _score(index, symptom_id, count)
 
 
 def index_scores(index: CooccurrenceIndex) -> list[RelationScore]:
     """Relation scores for every observed pair in the index."""
     method = index.regime.method
     return [
-        RelationScore(
-            disease_id,
-            symptom_id,
-            count * (index.total_diseases / index.symptom_spread[symptom_id]),
-            method,
-        )
+        RelationScore(disease_id, symptom_id, _score(index, symptom_id, count), method)
         for (disease_id, symptom_id), count in index.pair_counts.items()
     ]
 
@@ -371,13 +378,24 @@ def load_index(path, vocabulary: Vocabulary) -> CooccurrenceIndex:
             f"snapshot says |X|={total_diseases} but vocabulary has "
             f"{vocabulary.disease_count} diseases"
         )
-    return _index_from_counts(regime, pair_counts, vocabulary)
+    return _index_from_counts(
+        regime, pair_counts, total_diseases, vocabulary.disease_ids, vocabulary.symptom_ids
+    )
 
 
-def _tag_and_count(vocabulary: Vocabulary, regime: Regime, articles) -> CooccurrenceIndex:
-    matcher = ConceptMatcher(vocabulary)
+# the matcher of a pool worker process, built once by _start_worker
+_worker_matcher: ConceptMatcher | None = None
+
+
+def _start_worker(vocabulary: Vocabulary) -> None:
+    global _worker_matcher
+    _worker_matcher = ConceptMatcher(vocabulary)
+
+
+def _count_chunk(regime: Regime, articles: list) -> Counter:
+    matcher = _worker_matcher
     return _count_tags(
-        (matcher.tag_article(article) for article in articles), vocabulary, regime
+        (matcher.tag_article(article) for article in articles), matcher.vocabulary, regime
     )
 
 
@@ -401,25 +419,34 @@ def mine_corpus(
 ) -> CooccurrenceIndex:
     """Tag articles and count co-occurrence, optionally across processes.
 
-    The result is identical for every worker count and chunking because
-    partial indexes merge commutatively; output files stay byte-identical.
+    With ``workers > 1`` each worker process builds its matcher once and
+    counts whole chunks of articles; the chunk counts sum, and the index
+    (spread included) is built once at the end. The result is identical
+    for every worker count and chunking, so output files stay
+    byte-identical.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    _check_vocabulary(vocabulary)
     if workers == 1:
-        return _tag_and_count(vocabulary, regime, articles)
-    merged: CooccurrenceIndex | None = None
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        pending: deque = deque()
-        for chunk in _chunked(articles, chunk_size):
-            pending.append(pool.submit(_tag_and_count, vocabulary, regime, chunk))
-            # bound the number of chunks held in memory
-            while len(pending) >= workers * 2:
-                part = pending.popleft().result()
-                merged = part if merged is None else merge_indexes([merged, part])
-        while pending:
-            part = pending.popleft().result()
-            merged = part if merged is None else merge_indexes([merged, part])
-    if merged is None:
-        return _tag_and_count(vocabulary, regime, [])
-    return merged
+        matcher = ConceptMatcher(vocabulary)
+        pair_counts = _count_tags(
+            (matcher.tag_article(article) for article in articles), vocabulary, regime
+        )
+    else:
+        pair_counts = Counter()
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_start_worker, initargs=(vocabulary,)
+        ) as pool:
+            pending: deque = deque()
+            for chunk in _chunked(articles, chunk_size):
+                pending.append(pool.submit(_count_chunk, regime, chunk))
+                # bound the number of chunks held in memory
+                while len(pending) >= workers * 2:
+                    pair_counts.update(pending.popleft().result())
+            for future in pending:
+                pair_counts.update(future.result())
+    return _index_from_counts(
+        regime, pair_counts, vocabulary.disease_count,
+        vocabulary.disease_ids, vocabulary.symptom_ids,
+    )

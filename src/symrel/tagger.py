@@ -160,6 +160,14 @@ def read_tags(path) -> Iterator[SectionTags]:
             for name in ("id", "title", "keywords", "body"):
                 if name not in record:
                     raise MalformedRecord(path, lineno, f"missing field {name!r}")
+            if not isinstance(record["id"], str) or not record["id"]:
+                raise MalformedRecord(path, lineno, "field 'id' must be a non-empty string")
+            for name in ("title", "keywords", "body"):
+                ids = record[name]
+                if not isinstance(ids, list) or any(not isinstance(i, str) for i in ids):
+                    raise MalformedRecord(
+                        path, lineno, f"field {name!r} must be a list of strings"
+                    )
             yield SectionTags(
                 article_id=record["id"],
                 title_concepts=set(record["title"]),

@@ -1,4 +1,5 @@
 import json
+import logging
 import subprocess
 import sys
 from pathlib import Path
@@ -70,6 +71,16 @@ class TestMineCommand:
                 (out / "scores_fulltext.tsv").read_bytes(),
             )
         assert outputs["one"] == outputs["two"] == outputs["rerun"]
+
+    def test_logs_corpus_stats(self, tmp_path, vocab_file, corpus_file, caplog):
+        with open(corpus_file, "a", encoding="utf-8") as handle:
+            handle.write("not json\n")
+        caplog.set_level(logging.INFO, logger="symrel.cli")
+        assert main(
+            ["mine", "--vocab", str(vocab_file), "--corpus", str(corpus_file),
+             "--regime", "kwd", "--skip-bad-records", "--out", str(tmp_path / "mined")]
+        ) == 0
+        assert "from 3 article(s) (3 with keywords, 1 skipped)" in caplog.text
 
 
 class TestRankCommand:

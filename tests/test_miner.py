@@ -2,7 +2,9 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from symrel.corpus import Article
 from symrel.errors import MalformedRow, UndefinedISF, UnknownConcept, VocabularyMismatch
 from symrel.miner import (
     EMBEDDING,
@@ -27,8 +29,8 @@ from symrel.miner import (
 from symrel.tagger import ConceptMatcher, SectionTags
 from symrel.vocab import Vocabulary
 
-from helpers import concept
-from oracles import brute_force_counts, brute_force_score
+from helpers import concept, random_vocabulary
+from oracles import brute_force_counts, brute_force_score, brute_force_tag
 
 
 def _tags_for(matcher, articles):
@@ -408,3 +410,54 @@ class TestMineCorpus:
         index = mine_corpus([], small_vocabulary, Regime.KEYWORD)
         assert index.pair_counts == {}
         assert index.total_diseases == 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_vocabulary_checked_for_every_worker_count(self, workers):
+        disease_only = Vocabulary([concept("D1", "disease", "influenza")])
+        with pytest.raises(VocabularyMismatch):
+            mine_corpus([], disease_only, Regime.KEYWORD, workers=workers)
+
+
+_VOCABULARY = random_vocabulary(random.Random(5), n_diseases=3, n_symptoms=4)
+_SURFACES = sorted(_VOCABULARY.synonym_index)
+_TEXT = st.lists(st.sampled_from(_SURFACES + ["the", "patient", "notes"]), max_size=6).map(
+    " ".join
+)
+_KEYWORD = st.tuples(st.sampled_from(_SURFACES), st.sampled_from(["", "/diagnosis"])).map(
+    "".join
+)
+_CORPUS = st.lists(st.tuples(_TEXT, st.lists(_KEYWORD, max_size=4), _TEXT), max_size=10)
+
+
+class TestMineCorpusProperty:
+    # every example with workers=2 starts a process pool, so the examples
+    # are few and hypothesis' per-example deadline is off
+    @settings(deadline=None, max_examples=20)
+    @given(
+        corpus=_CORPUS,
+        workers=st.sampled_from([1, 2]),
+        chunk_size=st.integers(1, 4),
+        regime=st.sampled_from(list(Regime)),
+    )
+    def test_matches_oracle(self, corpus, workers, chunk_size, regime):
+        articles = [
+            Article(f"A{i}", title, keywords, body)
+            for i, (title, keywords, body) in enumerate(corpus)
+        ]
+        index = _VOCABULARY.synonym_index
+        sections = {
+            article.article_id: (
+                brute_force_tag(article.title, index),
+                {index[keyword.split("/")[0]] for keyword in article.keywords},
+                brute_force_tag(article.body, index),
+            )
+            for article in articles
+        }
+        expected_counts, expected_spread = brute_force_counts(
+            sections, set(_VOCABULARY.disease_ids), set(_VOCABULARY.symptom_ids), regime.value
+        )
+        mined = mine_corpus(
+            articles, _VOCABULARY, regime, workers=workers, chunk_size=chunk_size
+        )
+        assert mined.pair_counts == expected_counts
+        assert mined.symptom_spread == expected_spread

@@ -1,8 +1,11 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from symrel.corpus import Article
+from symrel.errors import MalformedRecord
 from symrel.tagger import ConceptMatcher, SectionTags, read_tags, write_tags
 from symrel.vocab import Vocabulary
 
@@ -160,6 +163,41 @@ class TestOracleEquivalence:
             assert actual == expected, f"round {round_number}: {text!r}"
 
 
+# nested and overlapping synonyms, so leftmost-longest resolution matters
+_SYNONYMS = [
+    "pain", "chest", "chest pain", "abdominal pain", "fever", "high fever",
+    "head", "ache", "head ache", "x-linked", "linked", "a", "a b", "b",
+]
+_FILLER = ["the", "painter", "pains", "and", "Chest", "FEVER", "--", "a-b", "é"]
+
+
+@st.composite
+def _vocabulary_and_text(draw):
+    synonyms = draw(st.lists(st.sampled_from(_SYNONYMS), min_size=1, max_size=8, unique=True))
+    vocabulary = Vocabulary(
+        [
+            concept(f"C{i}", "disease" if i % 2 else "symptom", synonym)
+            for i, synonym in enumerate(synonyms)
+        ]
+    )
+    pieces = draw(st.lists(st.sampled_from(_SYNONYMS + _FILLER), max_size=20))
+    separators = draw(
+        st.lists(
+            st.sampled_from([" ", ", ", "-", "/", "", "  "]),
+            min_size=len(pieces), max_size=len(pieces),
+        )
+    )
+    return vocabulary, "".join(p + sep for p, sep in zip(pieces, separators))
+
+
+class TestTagTextProperty:
+    @given(_vocabulary_and_text())
+    def test_tag_text_matches_oracle(self, vocabulary_and_text):
+        vocabulary, text = vocabulary_and_text
+        expected = brute_force_tag(text, vocabulary.synonym_index)
+        assert ConceptMatcher(vocabulary).tag_text(text) == expected
+
+
 class TestTagArticle:
     def test_sections_tagged_independently(self, matcher):
         article = Article(
@@ -210,3 +248,23 @@ class TestTagsRoundTrip:
         # ids inside each record are serialized sorted
         first_line = path.read_text(encoding="utf-8").splitlines()[0]
         assert first_line.index('"D1"') < first_line.index('"S1"')
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"id": 7, "title": [], "keywords": [], "body": []},
+            {"id": "", "title": [], "keywords": [], "body": []},
+            {"id": "A1", "title": "D1", "keywords": [], "body": []},
+            {"id": "A1", "title": [], "keywords": {"a": 1}, "body": []},
+            {"id": "A1", "title": [], "keywords": [], "body": "S1"},
+            {"id": "A1", "title": [1], "keywords": [], "body": []},
+        ],
+    )
+    def test_wrong_types_rejected_with_line(self, tmp_path, record):
+        path = tmp_path / "tags.jsonl"
+        good = {"id": "A0", "title": [], "keywords": ["D1"], "body": ["S1"]}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(MalformedRecord) as excinfo:
+            list(read_tags(path))
+        assert excinfo.value.line == 2
+        assert f"{path}:2:" in str(excinfo.value)
