@@ -6,7 +6,8 @@ diagnosis) or grade 1 (relevant but not primary). Unjudged symptoms carry
 implicit grade 0 and are never stored. Collections are built from raw
 annotator records by strict majority voting over an odd panel, and
 annotator agreement is summarized with Fleiss' kappa over the
-primary/not-primary ratings.
+primary/not-primary ratings. numpy is imported by the kappa statistic, on
+first use, so loading a collection does not load it.
 """
 
 import csv
@@ -15,8 +16,6 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
-
-import numpy as np
 
 from .errors import (
     DuplicateAnnotation,
@@ -489,6 +488,8 @@ def fleiss_kappa_statistic(table) -> float:
     degenerate case where every rating lands in a single category and the
     chance term reaches 1.
     """
+    import numpy as np
+
     counts = np.asarray(table, dtype=np.float64)
     if counts.ndim != 2 or counts.shape[0] < 1 or counts.shape[1] < 2:
         raise ValueError("table must be items x categories with >= 2 categories")

@@ -6,23 +6,24 @@ window is a reasonable default) and are consumed from a plain text file:
 the first line gives the dimension, every following line a token and its
 components separated by spaces. Tokens are either concept ids or concept
 names with underscores standing in for spaces ("abdominal_pain").
+
+numpy is imported by the functions that use it, on first use, so loading
+this module (as every ``symrel`` command does) does not load numpy.
 """
 
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DimensionMismatch, MalformedRow, MissingVector, ZeroNormVector
 from .miner import EMBEDDING, RelationScore, rank_symptoms
 from .vocab import Vocabulary
 
-logger = logging.getLogger(__name__)
+if TYPE_CHECKING:
+    import numpy as np
 
-# accumulate dot products and norms in extended precision where the
-# platform provides it (80-bit on x86 Linux); float64 otherwise
-_ACCUMULATOR = np.longdouble
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -30,7 +31,7 @@ class EmbeddingTable:
     """Concept id -> float64 vector, all of one dimension."""
 
     dimension: int
-    vectors: dict[str, np.ndarray] = field(default_factory=dict)
+    vectors: dict[str, "np.ndarray"] = field(default_factory=dict)
     skipped: int = 0
 
 
@@ -47,6 +48,8 @@ def load_vectors(path, vocabulary: Vocabulary) -> EmbeddingTable:
     Unresolvable tokens (and repeats of an already-loaded concept) are
     counted as skipped; kept/skipped totals are logged.
     """
+    import numpy as np
+
     path = Path(path)
     with open(path, encoding="utf-8") as handle:
         first = handle.readline()
@@ -87,9 +90,13 @@ def load_vectors(path, vocabulary: Vocabulary) -> EmbeddingTable:
     return table
 
 
-def _cosine(x: np.ndarray, s: np.ndarray, x_id: str, s_id: str) -> float:
-    x_acc = x.astype(_ACCUMULATOR)
-    s_acc = s.astype(_ACCUMULATOR)
+def _cosine(x: "np.ndarray", s: "np.ndarray", x_id: str, s_id: str) -> float:
+    import numpy as np
+
+    # accumulate dot products and norms in extended precision where the
+    # platform provides it (80-bit on x86 Linux); float64 otherwise
+    x_acc = x.astype(np.longdouble)
+    s_acc = s.astype(np.longdouble)
     x_norm = np.sqrt(np.dot(x_acc, x_acc))
     s_norm = np.sqrt(np.dot(s_acc, s_acc))
     if x_norm == 0:
@@ -123,6 +130,8 @@ def rank_by_embedding(
     zero cosine is meaningful -- and zero or negative cosines stay in the
     ranking. Ordering and cutoff follow :func:`symrel.miner.rank_symptoms`.
     """
+    import numpy as np
+
     if disease_id not in table.vectors:
         raise MissingVector(disease_id)
     disease_vector = table.vectors[disease_id]

@@ -14,6 +14,12 @@ Counting regimes:
 * fulltext: the disease appears in the keywords or the title, and the
   symptom appears in the body text.
 
+:func:`mine_corpus` tags only the sections its regime counts: the keywords
+alone under keyword; under fulltext the keywords and the title, and the
+body only of an article whose keywords or title hold a disease. A section
+left untagged could add no pair, so the counts are those of tagging every
+section.
+
 Counting is a commutative-monoid fold: pair counts over disjoint article
 subsets sum, and the symptom spread is derived once, from the summed
 counts, when the index is built. Chunked-parallel mining therefore
@@ -31,6 +37,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .corpus import Article
 from .errors import MalformedRow, UndefinedISF, UnknownConcept, VocabularyMismatch
 from .tagger import ConceptMatcher, SectionTags
 from .vocab import Vocabulary
@@ -392,11 +399,30 @@ def _start_worker(vocabulary: Vocabulary) -> None:
     _worker_matcher = ConceptMatcher(vocabulary)
 
 
+def _count_articles(
+    matcher: ConceptMatcher, articles: Iterable[Article], regime: Regime
+) -> Counter:
+    """Tag only the sections ``regime`` counts (see the module docstring),
+    then count pairs."""
+    diseases = matcher.vocabulary.disease_ids
+
+    def tagged():
+        for article in articles:
+            tags = SectionTags(
+                article.article_id, keyword_concepts=matcher.tag_keywords(article.keywords)
+            )
+            if regime is Regime.FULLTEXT:
+                tags.title_concepts = matcher.tag_text(article.title)
+                # body symptoms pair only with keyword or title diseases
+                if not diseases.isdisjoint(tags.keyword_concepts | tags.title_concepts):
+                    tags.body_concepts = matcher.tag_text(article.body)
+            yield tags
+
+    return _count_tags(tagged(), matcher.vocabulary, regime)
+
+
 def _count_chunk(regime: Regime, articles: list) -> Counter:
-    matcher = _worker_matcher
-    return _count_tags(
-        (matcher.tag_article(article) for article in articles), matcher.vocabulary, regime
-    )
+    return _count_articles(_worker_matcher, articles, regime)
 
 
 def _chunked(items, size: int):
@@ -419,20 +445,18 @@ def mine_corpus(
 ) -> CooccurrenceIndex:
     """Tag articles and count co-occurrence, optionally across processes.
 
-    With ``workers > 1`` each worker process builds its matcher once and
-    counts whole chunks of articles; the chunk counts sum, and the index
-    (spread included) is built once at the end. The result is identical
-    for every worker count and chunking, so output files stay
-    byte-identical.
+    Only the sections the regime counts are tagged (see the module
+    docstring). With ``workers > 1`` each worker process builds its
+    matcher once and counts whole chunks of articles; the chunk counts
+    sum, and the index (spread included) is built once at the end. The
+    result is identical for every worker count and chunking, so output
+    files stay byte-identical.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     _check_vocabulary(vocabulary)
     if workers == 1:
-        matcher = ConceptMatcher(vocabulary)
-        pair_counts = _count_tags(
-            (matcher.tag_article(article) for article in articles), vocabulary, regime
-        )
+        pair_counts = _count_articles(ConceptMatcher(vocabulary), articles, regime)
     else:
         pair_counts = Counter()
         with ProcessPoolExecutor(

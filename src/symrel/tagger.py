@@ -9,10 +9,15 @@ only occurrence lies inside a consumed span are suppressed for that span
 (they still match where they occur standalone).
 
 Keywords are curated descriptors, not prose, so each keyword matches by
-exact synonym lookup after stripping a "/qualifier" suffix.
+exact synonym lookup after stripping a "/qualifier" suffix
+(:meth:`ConceptMatcher.tag_keywords`).
 
 Tagging records article-level presence per section (set semantics); how
 often a concept occurs within one article never matters downstream.
+:meth:`ConceptMatcher.tag_article` tags all three sections, as the ``tag``
+command writes them; a caller that reads only some sections, like the
+miner, calls :meth:`~ConceptMatcher.tag_keywords` and
+:meth:`~ConceptMatcher.tag_text` for just those.
 """
 
 import json
@@ -110,21 +115,26 @@ class ConceptMatcher:
                 cursor = end
         return found
 
+    def tag_keywords(self, keywords: Iterable[str]) -> set[str]:
+        """Concept ids of keywords, by exact synonym lookup after stripping
+        a "/qualifier" suffix; no automaton scan."""
+        found: set[str] = set()
+        for keyword in keywords:
+            concept = self.vocabulary.lookup(keyword.split("/", 1)[0])
+            if concept is not None:
+                found.add(concept.id)
+        return found
+
     def tag_article(self, article: Article) -> SectionTags:
         """Tag all three sections of an article.
 
         Sections are independent: keywords never leak into body tags and
         vice versa.
         """
-        keyword_concepts: set[str] = set()
-        for keyword in article.keywords:
-            concept = self.vocabulary.lookup(keyword.split("/", 1)[0])
-            if concept is not None:
-                keyword_concepts.add(concept.id)
         return SectionTags(
             article_id=article.article_id,
             title_concepts=self.tag_text(article.title),
-            keyword_concepts=keyword_concepts,
+            keyword_concepts=self.tag_keywords(article.keywords),
             body_concepts=self.tag_text(article.body),
         )
 

@@ -1,5 +1,6 @@
 import json
 import logging
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -331,3 +332,48 @@ class TestConsoleScript:
         assert result.returncode == 0
         for subcommand in ("tag", "mine", "rank", "eval", "kappa", "vote", "validate"):
             assert subcommand in result.stdout
+
+
+# Runs in a fresh interpreter: imports the package, runs commands that need
+# neither numpy nor scipy, then prints which of the two got loaded.
+_HYGIENE_SCRIPT = """
+import json, sys
+import symrel, symrel.cli
+from symrel import evaluate_run, load_vectors, load_collection
+for argv in json.loads(sys.argv[1]):
+    assert symrel.cli.main(argv) == 0, argv
+print(json.dumps(sorted(m for m in ("numpy", "scipy") if m in sys.modules)))
+"""
+
+
+class TestImportHygiene:
+    def test_light_commands_load_neither_numpy_nor_scipy(
+        self, tmp_path, vocab_file, corpus_file
+    ):
+        annotations = _write_annotations(tmp_path / "annotations.csv")
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text(
+            "disease_id,symptom_id\nD1,S1\nD1,S2\nD2,S1\nD2,S2\n", encoding="utf-8"
+        )
+        inputs = ["--vocab", str(vocab_file), "--corpus", str(corpus_file)]
+        mined = tmp_path / "mined"
+        commands = [
+            ["tag", *inputs, "--out", str(tmp_path / "tags.jsonl")],
+            ["mine", *inputs, "--regime", "kwd", "--out", str(mined)],
+            ["mine", *inputs, "--regime", "fulltext", "--out", str(mined)],
+            ["rank", "--vocab", str(vocab_file), "--scores", str(mined / "scores_kwd.tsv"),
+             "--out", str(tmp_path / "run.tsv")],
+            ["vote", "--vocab", str(vocab_file), "--annotations", str(annotations),
+             "--pairs", str(pairs), "--out", str(tmp_path / "collection.json")],
+        ]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", _HYGIENE_SCRIPT, json.dumps(commands)],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == []
+        assert (mined / "scores_fulltext.tsv").is_file()
+        assert (tmp_path / "collection.json").is_file()

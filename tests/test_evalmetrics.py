@@ -245,6 +245,33 @@ class TestPairedTTest:
         with pytest.raises(TooFewPairs):
             paired_ttest([1.0], [0.5])
 
+    @pytest.mark.parametrize("df", [1, 2, 3, 5, 10, 30, 100, 1000, 5000])
+    def test_pvalue_bit_identical_to_scipy_stats(self, df):
+        # paired_ttest evaluates scipy.special.stdtr directly; its p-values
+        # must be exactly the ones scipy.stats.t.sf gives, from |t| near 0
+        # to |t| so large that the p-value underflows
+        from scipy import stats
+
+        rng = random.Random(df)
+        for mean, spread in ((1e-12, 1.0), (0.05, 1.0), (1.0, 1.0), (1.0, 1e-6), (1.0, 1e-12)):
+            diffs = [mean + spread * rng.gauss(0.0, 1.0) for _ in range(df + 1)]
+            result = paired_ttest(diffs, [0.0] * (df + 1))
+            assert not result.degenerate
+            expected = 2.0 * float(stats.t.sf(abs(result.statistic), df))
+            assert result.pvalue == min(1.0, expected)
+
+    def test_stdtr_is_scipy_stats_t_sf(self):
+        import numpy as np
+        from scipy import special, stats
+
+        rng = np.random.default_rng(7)
+        df = rng.integers(1, 5001, size=3000).astype(np.float64)
+        magnitude = 10.0 ** rng.uniform(-12, 4, size=3000)
+        expected = stats.t.sf(magnitude, df)
+        actual = special.stdtr(df, -magnitude)
+        assert np.array_equal(actual, expected)
+        assert expected.min() == 0.0 and expected.max() > 0.49  # tails reached
+
     def test_randomized_samples_match_oracle(self):
         rng = random.Random(90210)
         for _ in range(40):

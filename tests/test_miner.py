@@ -29,7 +29,7 @@ from symrel.miner import (
 from symrel.tagger import ConceptMatcher, SectionTags
 from symrel.vocab import Vocabulary
 
-from helpers import concept, random_vocabulary
+from helpers import concept, random_articles, random_vocabulary
 from oracles import brute_force_counts, brute_force_score, brute_force_tag
 
 
@@ -416,6 +416,65 @@ class TestMineCorpus:
         disease_only = Vocabulary([concept("D1", "disease", "influenza")])
         with pytest.raises(VocabularyMismatch):
             mine_corpus([], disease_only, Regime.KEYWORD, workers=workers)
+
+
+class TestSectionsTaggedPerRegime:
+    """mine_corpus scans only the sections its regime counts."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        scanned: list[str] = []
+        tag_text = ConceptMatcher.tag_text
+
+        def counted(matcher, text):
+            scanned.append(text)
+            return tag_text(matcher, text)
+
+        monkeypatch.setattr(ConceptMatcher, "tag_text", counted)
+        return scanned
+
+    @pytest.fixture
+    def corpus(self):
+        vocabulary = random_vocabulary(random.Random(8), n_diseases=2, n_symptoms=12)
+        return vocabulary, random_articles(random.Random(8), vocabulary, 60)
+
+    def _sections(self, vocabulary, articles):
+        index = vocabulary.synonym_index
+        return {
+            article.article_id: (
+                brute_force_tag(article.title, index),
+                {index[keyword.split("/")[0]] for keyword in article.keywords},
+                brute_force_tag(article.body, index),
+            )
+            for article in articles
+        }
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_scans_and_counts(self, scans, corpus, regime):
+        vocabulary, articles = corpus
+        sections = self._sections(vocabulary, articles)
+        diseases = vocabulary.disease_ids
+        relevant = {
+            article_id for article_id, (title, keywords, _) in sections.items()
+            if (title | keywords) & diseases
+        }
+        assert 0 < len(relevant) < len(articles)  # the corpus has both kinds
+        mined = mine_corpus(articles, vocabulary, regime)
+        if regime is Regime.KEYWORD:
+            assert scans == []
+        else:
+            # one title scan per article, then the body of a relevant one
+            expected = []
+            for article in articles:
+                expected.append(article.title)
+                if article.article_id in relevant:
+                    expected.append(article.body)
+            assert scans == expected
+        expected_counts, expected_spread = brute_force_counts(
+            sections, set(diseases), set(vocabulary.symptom_ids), regime.value
+        )
+        assert mined.pair_counts == expected_counts
+        assert mined.symptom_spread == expected_spread
 
 
 _VOCABULARY = random_vocabulary(random.Random(5), n_diseases=3, n_symptoms=4)

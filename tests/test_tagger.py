@@ -9,7 +9,7 @@ from symrel.errors import MalformedRecord
 from symrel.tagger import ConceptMatcher, SectionTags, read_tags, write_tags
 from symrel.vocab import Vocabulary
 
-from helpers import concept, random_vocabulary
+from helpers import concept, random_articles, random_vocabulary
 from oracles import brute_force_tag
 
 
@@ -233,6 +233,28 @@ class TestTagArticle:
     def test_empty_keyword_list(self, matcher):
         article = Article(article_id="A1", title="", keywords=[], body="")
         assert matcher.tag_article(article).keyword_concepts == set()
+
+    def test_is_tag_keywords_plus_title_and_body_scans(self, monkeypatch):
+        vocabulary = random_vocabulary(random.Random(3), n_diseases=3, n_symptoms=6)
+        matcher = ConceptMatcher(vocabulary)
+        scanned: list[str] = []
+        tag_text = ConceptMatcher.tag_text
+
+        def counted(self, text):
+            scanned.append(text)
+            return tag_text(self, text)
+
+        monkeypatch.setattr(ConceptMatcher, "tag_text", counted)
+        for article in random_articles(random.Random(3), vocabulary, 30):
+            expected = SectionTags(
+                article.article_id,
+                tag_text(matcher, article.title),
+                matcher.tag_keywords(article.keywords),
+                tag_text(matcher, article.body),
+            )
+            scanned.clear()
+            assert matcher.tag_article(article) == expected
+            assert scanned == [article.title, article.body]
 
 
 class TestTagsRoundTrip:
